@@ -4,10 +4,11 @@ This is the default DFA strategy (it owns the ``cpu-dfa``/``cpu``/``dfa``
 aliases): instead of eagerly determinising the automaton — which blows
 up on real rule sets like PowerEN — it hash-conses the packed kernel's
 activation rows into DFA states *as the input visits them*
-(:class:`~repro.sim.lazydfa.LazyDfaKernel`), so a warm transition costs
-two list indexes and match/report semantics stay bit-identical to the
-golden interpreter, full STE identity included.  The eager subset-
-construction baseline remains available as ``eager-dfa``.
+(:class:`~repro.sim.lazydfa.LazyDfaKernel`).  Its transition rows are
+pointer-linked, so a warm transition is one list index, and
+match/report semantics stay bit-identical to the golden interpreter,
+full STE identity included.  The eager subset-construction baseline
+remains available as ``eager-dfa``.
 
 ``scan_many`` additionally shards streams across a process pool
 (:mod:`repro.sim.shard`): the kernel's packed tables and the warm DFA

@@ -10,37 +10,56 @@ caching only the DFA states an input actually visits.
 A DFA state is one distinct pending successor-activation row of the
 underlying :class:`~repro.sim.kernel.BitsetKernel` — the packed vector
 ``run_chunk`` threads between cycles.  Rows are hash-consed into dense
-integer ids; each state owns a transition row filled on demand.  A
-transition records the successor state id plus the cycle's report
-outcome, so a warm transition costs two Python list indexes and zero
-numpy work.  Canonical ``(state, symbol) -> (next_id, report count)``
+integer ids; each state owns a transition row (a Python list, one entry
+per symbol) filled on demand.  The rows are *pointer-linked*, so the
+warm scan loop is one list index per symbol and nothing else::
+
+    for symbol in it:
+        row = row[symbol]
+
+- a **silent** transition's entry is the successor state's row itself;
+- a **reporting** transition's entry is a :class:`_Hit`: indexing it
+  records the transition's report events (their offset comes from the
+  iterator's remaining length) and returns the successor row's entry;
+- an **uncached** transition's entry is the state's :class:`_Miss`:
+  indexing it computes the transition on the kernel (the only numpy
+  work), fills the entry, and steps on the same way.
+
+A reporting or uncached transition on the last symbol is resolved after
+the loop.  Canonical ``(state, symbol) -> (next_id, report count)``
 tables are kept in parallel ``int32`` arrays — the form the
-process-sharded scanner (:mod:`repro.sim.shard`) publishes through
-shared memory so worker processes start with a warm cache.
+process-sharded scanner (:mod:`repro.sim.shard`), the process pool and
+the split scanner publish so worker processes start with a warm cache.
 
 **k-stride execution** (CAMA's alphabet transformation): with a
 :class:`~repro.automata.stride.StrideAlphabet` the DFA consumes k input
-bytes per cached transition.  Transition rows are indexed by the
-*compressed* stride-class id — the k-fold product of byte equivalence
-classes, typically a few hundred columns, never a dense ``256**k``
-row.  A missing strided transition is materialised by stepping the
-unstrided kernel over the class's representative bytes (every window
-in a class drives the kernel identically), recording the successor row
-plus a flush-immune *report combo* — the ``(intra-window offset,
-event id)`` pairs fired along the way — so strided report events expand
-to exactly the offsets and reporting-row identities the unstrided run
-produces.  Input whose length is not a multiple of k ends with uncached
-single-byte tail cycles, and the start-of-data cycle always runs
-unstrided, so checkpoints taken at *any* byte offset interoperate
-bit-identically with every other execution path.
+bytes per cached transition.  The same rows and the same loop serve
+every stride: rows are indexed by the *compressed* stride-class id —
+the k-fold product of byte equivalence classes, typically a few hundred
+columns, never a dense ``256**k`` row — and the loop iterates the
+stride-class list instead of the bytes.  A missing strided transition
+is materialised by stepping the unstrided kernel over the class's
+representative bytes (every window in a class drives the kernel
+identically).  Every reporting transition carries a *report combo* —
+the ``(intra-window offset, event id)`` pairs fired along the way, a
+single ``(0, event id)`` pair unstrided — so strided report events
+expand to exactly the offsets and reporting-row identities the
+unstrided run produces.  Input whose length is not a
+multiple of k ends with uncached single-byte tail cycles, and the
+start-of-data cycle always runs uncached, so checkpoints taken at *any*
+byte offset interoperate bit-identically with every other execution
+path.
 
 The state/transition budget is bounded: when interning would exceed it,
 the whole cache is flushed and repopulated on demand (RE2's policy —
 cheap, and an adversarial input degrades to the kernel's propagate
-path instead of exhausting memory).  Reporting transitions additionally
-record the packed *reporting-row* bytes in a flush-immune event table,
-so callers can materialise golden-convention :class:`Report` objects
-(full STE identity) lazily and bit-identically.
+path instead of exhausting memory).  Silent entries make the rows a
+cyclic graph, so a flush (and the kernel's own release) clears the old
+rows: their memory returns at once, not at the next cyclic garbage
+collection.  Reporting transitions additionally record the packed
+*reporting-row* bytes in a flush-immune event table, so callers can
+materialise golden-convention :class:`Report` objects (full STE
+identity) lazily and bit-identically.
 """
 
 from __future__ import annotations
@@ -50,7 +69,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.automata.stride import StrideAlphabet, resolve_stride
-from repro.errors import StrideError
+from repro.errors import SimulationError, StrideError
 from repro.sim.kernel import BitsetKernel, popcount_row
 
 #: Budget for cached DFA states (transition rows + packed vectors).
@@ -93,6 +112,65 @@ def merge_cache_infos(infos) -> Dict[str, int]:
                 merged[key] = max(merged.get(key, 0), int(value))
     merged["workers"] = workers
     return merged
+
+
+class _Walk:
+    """The scan in progress, as its :class:`_Hit`/:class:`_Miss` entries
+    see it: the symbol sequence and its iterator (whose remaining length
+    locates the current symbol), the offset just past the walked part,
+    the stride, the event list (``None`` when not collecting), the
+    running report total and the kernel's miss handler.  One per
+    kernel; emptied after every scan, so no entry holds the kernel or
+    the payload between scans."""
+
+    __slots__ = ("seq", "it", "end", "k", "events", "total", "fill")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.seq = self.it = self.events = self.fill = None
+        self.end = self.total = 0
+
+
+class _Hit:
+    """A reporting transition: records its report combo at the offset
+    of the symbol that took it, then steps on from the successor row."""
+
+    __slots__ = ("target", "combo", "total", "walk")
+
+    def __init__(self, target: list, combo, total: int, walk: _Walk):
+        self.target = target
+        self.combo = combo
+        self.total = total
+        self.walk = walk
+
+    def __getitem__(self, symbol):
+        walk = self.walk
+        walk.total += self.total
+        events = walk.events
+        if events is not None:
+            # The symbol that took this transition is the one before
+            # ``symbol``: two places behind the iterator's remainder.
+            base = walk.end - walk.k * (walk.it.__length_hint__() + 2)
+            for delta, event_id in self.combo:
+                events.append((base + delta, event_id))
+        return self.target[symbol]
+
+
+class _Miss:
+    """The uncached transitions of one state: fills the entry for the
+    symbol that missed, then steps on from it."""
+
+    __slots__ = ("sid", "walk")
+
+    def __init__(self, sid: int, walk: _Walk):
+        self.sid = sid
+        self.walk = walk
+
+    def __getitem__(self, symbol):
+        walk = self.walk
+        seq = walk.seq
+        missed = seq[len(seq) - walk.it.__length_hint__() - 2]
+        return walk.fill(self.sid, missed)[symbol]
 
 
 class LazyDfaKernel:
@@ -149,27 +227,35 @@ class LazyDfaKernel:
         self._misses = 0
         self._flushes = 0
         self._tail_steps = 0
+        self._walk = _Walk(self._stride)
         # Report events are flush-immune: event ids stay valid for the
-        # lifetime of the kernel, so encoded transitions created after a
-        # flush can reuse them and callers can resolve identity lazily.
+        # lifetime of the kernel, so reporting transitions created after
+        # a flush can reuse them and callers can resolve identity lazily.
         self._events: List[Tuple[int, bytes]] = []
         self._event_of: Dict[bytes, int] = {}
-        # Report combos (strided path): the report events a k-byte
-        # transition fires, as (intra-window offset, event id) pairs.
-        # Flush-immune for the same reason events are.
-        self._combos: List[Tuple[Tuple[int, int], ...]] = []
-        self._combo_totals: List[int] = []
-        self._combo_of: Dict[Tuple[Tuple[int, int], ...], int] = {}
         self._reset_states()
 
+    def __del__(self):
+        # No entry refers back to the kernel outside a scan, so its
+        # release runs here and can break the rows' cycles.
+        self._clear_rows()
+
+    def _clear_rows(self):
+        # Breaks the row graph's cycles (silent entries point at rows).
+        for row in getattr(self, "_trans", ()):
+            row.clear()
+
     def _reset_states(self):
+        self._clear_rows()
         self._ids: Dict[bytes, int] = {}
         self._rows: List[np.ndarray] = []
-        #: Hot-loop view: per-state width-entry lists of encoded
-        #: transitions (-1 missing; ``next_id`` when silent; else
-        #: ``(event_or_combo_id + 1) << 32 | next_id`` — an event id
-        #: unstrided, a combo id strided).
-        self._enc_rows: List[list] = []
+        #: Hot-loop view: per-state transition rows (see module doc),
+        #: each followed by one extra slot holding its own state id, so
+        #: a walk's final row names its state.
+        self._trans: List[list] = []
+        #: ``(report combo, next id) -> _Hit``: one per distinct
+        #: reporting transition target in this cache generation.
+        self._hits: Dict[tuple, _Hit] = {}
         capacity = 256
         self._next = np.full((capacity, self._width), -1, dtype=np.int32)
         self._reps = np.zeros((capacity, self._width), dtype=np.int32)
@@ -185,7 +271,10 @@ class LazyDfaKernel:
             self._ids[key] = sid
             frozen = np.frombuffer(key, dtype=np.uint64)
             self._rows.append(frozen)
-            self._enc_rows.append([-1] * self._width)
+            # Exact-size list: appending the id slot would over-allocate.
+            trans = [_Miss(sid, self._walk)] * (self._width + 1)
+            trans[-1] = sid
+            self._trans.append(trans)
             while sid >= self._next.shape[0]:
                 self._next = self._grow(self._next, -1)
                 self._reps = self._grow(self._reps, 0)
@@ -232,15 +321,6 @@ class LazyDfaKernel:
             self._events.append((count, rep_bytes))
         return event_id
 
-    def _combo_id(self, combo: Tuple[Tuple[int, int], ...], total: int) -> int:
-        combo_id = self._combo_of.get(combo)
-        if combo_id is None:
-            combo_id = len(self._combos)
-            self._combo_of[combo] = combo_id
-            self._combos.append(combo)
-            self._combo_totals.append(total)
-        return combo_id
-
     def _plain_step(self, prev: np.ndarray, symbol: int):
         """One uncached cycle (no start-of-data states)."""
         kernel = self._kernel
@@ -250,46 +330,29 @@ class LazyDfaKernel:
         rep_row = matched & kernel.report_row
         return nxt, popcount_row(rep_row), rep_row
 
-    def _miss(self, sid: int, symbol: int) -> Tuple[int, int]:
-        """Fill the ``(sid, symbol)`` transition; returns ``(sid, enc)``.
+    def _miss(self, sid: int, symbol: int):
+        """Fill the ``(sid, symbol)`` transition and return its entry.
 
-        May flush the whole cache (when the state budget is exhausted);
-        the returned ``sid`` is the — possibly re-interned — id of the
-        *current* state, so the scan loop's cursor survives the remap.
-        """
-        self._misses += 1
-        prev = self._rows[sid]
-        nxt, count, rep_row = self._plain_step(prev, symbol)
-        if len(self._rows) >= self._max_states:
-            self._flushes += 1
-            self._reset_states()
-            sid = self.intern(prev)
-        nid = self.intern(nxt)
-        if count == 0:
-            enc = nid
-        else:
-            enc = ((self._event_id(count, rep_row.tobytes()) + 1) << 32) | nid
-        self._enc_rows[sid][symbol] = enc
-        self._next[sid, symbol] = nid
-        self._reps[sid, symbol] = count
-        return sid, enc
-
-    def _miss_strided(self, sid: int, sclass: int) -> Tuple[int, int]:
-        """Fill the ``(sid, stride class)`` transition.
-
-        Materialised by running the class's representative window
+        ``symbol`` is a byte unstrided, else a stride class, which is
+        materialised by running the class's representative window
         through k unstrided kernel cycles — any window in the class
         yields the same successor row and report events, because bytes
         in one equivalence class have identical match-matrix rows.
+
+        May flush the whole cache (when the state budget is exhausted);
+        the entry is then filled into the new generation's row of the
+        re-interned current state, so the walk carries on from it.
         """
         self._misses += 1
         prev = self._rows[sid]
+        if self._alphabet is None:
+            window = (symbol,)
+        else:
+            window = self._alphabet.representative_bytes(symbol)
         row = prev
         combo: List[Tuple[int, int]] = []
         total = 0
-        for delta, byte in enumerate(
-            self._alphabet.representative_bytes(sclass)
-        ):
+        for delta, byte in enumerate(window):
             row, count, rep_row = self._plain_step(row, byte)
             if count:
                 total += count
@@ -299,14 +362,17 @@ class LazyDfaKernel:
             self._reset_states()
             sid = self.intern(prev)
         nid = self.intern(row)
-        if total == 0:
-            enc = nid
-        else:
-            enc = ((self._combo_id(tuple(combo), total) + 1) << 32) | nid
-        self._enc_rows[sid][sclass] = enc
-        self._next[sid, sclass] = nid
-        self._reps[sid, sclass] = total
-        return sid, enc
+        entry = target = self._trans[nid]
+        if total:
+            key = (tuple(combo), nid)
+            entry = self._hits.get(key)
+            if entry is None:
+                entry = _Hit(target, key[0], total, self._walk)
+                self._hits[key] = entry
+        self._trans[sid][symbol] = entry
+        self._next[sid, symbol] = nid
+        self._reps[sid, symbol] = total
+        return entry
 
     def _sod_step(self, prev: np.ndarray, symbol: int):
         """One uncached cycle with the start-of-data states enabled."""
@@ -338,63 +404,6 @@ class LazyDfaKernel:
         checkpoints interoperate with every other execution path,
         strided or not.
         """
-        if self._alphabet is not None:
-            return self._scan_strided(
-                symbols, prev=prev, sod=sod, collect_events=collect_events
-            )
-        events: List[Tuple[int, int]] = []
-        report_total = 0
-        length = len(symbols)
-        if length == 0:
-            return events, report_total, prev, sod
-        sym_list = symbols.tolist()
-        i = 0
-        if sod:
-            # Start-of-data states are enabled for exactly one cycle, so
-            # that cycle runs outside the cache and the DFA proper only
-            # ever sees transitions keyed by the activation row alone.
-            prev, count, rep_row = self._sod_step(prev, sym_list[0])
-            if count:
-                report_total += count
-                if collect_events:
-                    events.append((0, self._event_id(count, rep_row.tobytes())))
-            sod = False
-            i = 1
-        self._lookups += length - i
-        sid = self.intern(prev)
-        enc_rows = self._enc_rows
-        row = enc_rows[sid]
-        while i < length:
-            value = row[sym_list[i]]
-            if value < 0:
-                sid, value = self._miss(sid, sym_list[i])
-                enc_rows = self._enc_rows
-            if value < 4294967296:
-                sid = value
-            else:
-                sid = value & 4294967295
-                event_id = (value >> 32) - 1
-                report_total += self._events[event_id][0]
-                if collect_events:
-                    events.append((i, event_id))
-            row = enc_rows[sid]
-            i += 1
-        return events, report_total, self._rows[sid], sod
-
-    def _scan_strided(
-        self,
-        symbols: np.ndarray,
-        *,
-        prev: np.ndarray,
-        sod: bool,
-        collect_events: bool,
-    ) -> Tuple[List[Tuple[int, int]], int, np.ndarray, bool]:
-        """k-stride scan: cached k-byte groups plus an unstrided tail.
-
-        Report combos expand to absolute ``(offset, event id)`` pairs,
-        so callers see exactly the event stream the unstrided scan
-        emits — same offsets, same flush-immune event ids.
-        """
         events: List[Tuple[int, int]] = []
         report_total = 0
         length = len(symbols)
@@ -402,6 +411,9 @@ class LazyDfaKernel:
             return events, report_total, prev, sod
         pos = 0
         if sod:
+            # Start-of-data states are enabled for exactly one cycle, so
+            # that cycle runs outside the cache and the DFA proper only
+            # ever sees transitions keyed by the activation row alone.
             prev, count, rep_row = self._sod_step(prev, int(symbols[0]))
             if count:
                 report_total += count
@@ -410,41 +422,46 @@ class LazyDfaKernel:
             sod = False
             pos = 1
         k = self._stride
-        groups = (length - pos) // k
-        tail_start = pos + groups * k
-        if groups:
-            classes = self._alphabet.stride_classes(
-                symbols[pos:tail_start]
-            ).tolist()
-            self._lookups += groups
-            sid = self.intern(prev)
-            enc_rows = self._enc_rows
-            row = enc_rows[sid]
-            combos = self._combos
-            combo_totals = self._combo_totals
-            for j in range(groups):
-                value = row[classes[j]]
-                if value < 0:
-                    sid, value = self._miss_strided(sid, classes[j])
-                    enc_rows = self._enc_rows
-                    combos = self._combos
-                    combo_totals = self._combo_totals
-                if value < 4294967296:
-                    sid = value
-                else:
-                    sid = value & 4294967295
-                    combo_id = (value >> 32) - 1
-                    report_total += combo_totals[combo_id]
+        end = pos + (length - pos) // k * k
+        if end > pos:
+            if k == 1:
+                seq = np.asarray(symbols, dtype=np.uint8).tobytes()
+                it = iter(seq)
+                if pos:
+                    next(it)
+            else:
+                seq = self._alphabet.stride_classes(symbols[pos:end]).tolist()
+                it = iter(seq)
+            self._lookups += (end - pos) // k
+            row = self._trans[self.intern(prev)]
+            walk = self._walk
+            walk.seq = seq
+            walk.it = it
+            walk.end = end
+            walk.events = events if collect_events else None
+            walk.total = report_total
+            walk.fill = self._miss
+            try:
+                for symbol in it:
+                    row = row[symbol]
+                # A reporting or uncached transition on the last symbol
+                # has no next symbol to resolve it: settle it here.
+                if type(row) is _Miss:
+                    row = self._miss(row.sid, seq[-1])
+                if type(row) is _Hit:
+                    walk.total += row.total
                     if collect_events:
-                        group_base = pos + j * k
-                        for delta, event_id in combos[combo_id]:
-                            events.append((group_base + delta, event_id))
-                row = enc_rows[sid]
-            prev = self._rows[sid]
-        # Odd-length tail: fall back to uncached unstrided cycles so the
-        # final activation row (the resume cursor) is bit-identical to
-        # the unstrided run's.
-        for i in range(tail_start, length):
+                        for delta, event_id in row.combo:
+                            events.append((end - k + delta, event_id))
+                    row = row.target
+                report_total = walk.total
+            finally:
+                walk.seq = walk.it = walk.events = walk.fill = None
+            prev = self._rows[row[-1]]
+        # Odd-length tail: uncached unstrided cycles, so the final
+        # activation row (the resume cursor) is bit-identical to the
+        # unstrided run's.
+        for i in range(end, length):
             self._tail_steps += 1
             prev, count, rep_row = self._plain_step(prev, int(symbols[i]))
             if count:
@@ -486,12 +503,15 @@ class LazyDfaKernel:
     def seed(
         self, rows: np.ndarray, nxt: np.ndarray, reps: np.ndarray
     ) -> None:
-        """Warm-start from :meth:`export_tables` output.
+        """Warm-start a fresh kernel from :meth:`export_tables` output.
 
-        Non-reporting transitions seed directly into the hot-loop lists;
+        Non-reporting transitions seed directly into the hot-loop rows;
         reporting ones stay missing (their reporting-row bytes were not
         shipped) and recompute through the miss path on first use — a
-        one-time propagate per distinct reporting transition.
+        one-time propagate per distinct reporting transition.  The
+        tables' state ids are adopted as this kernel's own, so seeding
+        a kernel that has already interned states raises
+        :class:`~repro.errors.SimulationError`.
         """
         nxt = np.asarray(nxt)
         if nxt.ndim == 2 and nxt.shape[0] and nxt.shape[1] != self._width:
@@ -502,29 +522,33 @@ class LazyDfaKernel:
         states = len(rows)
         if not states:
             return
-        silent = np.where(np.asarray(reps) == 0, nxt, -1)
-        if not self._rows:
-            # Bulk path for a fresh kernel (the shard-worker case):
-            # intern without per-row placeholder lists and convert the
-            # whole silent table in one C-level call — at stride >1 the
-            # table is states x C**k and the per-row loop dominates
-            # worker startup.
-            # Copy: the caller's rows may view shared memory that is
-            # unmapped right after seeding.
-            contiguous = np.array(rows, dtype=np.uint64)
-            contiguous.setflags(write=False)
-            for index in range(states):
-                self._ids[contiguous[index].tobytes()] = index
-            self._rows = list(contiguous)
-            self._enc_rows = silent.tolist()
-            while states > self._next.shape[0]:
-                self._next = self._grow(self._next, -1)
-                self._reps = self._grow(self._reps, 0)
-        else:
-            silent_lists = silent.tolist()
-            for sid_source in range(states):
-                sid = self.intern(rows[sid_source])
-                self._enc_rows[sid] = silent_lists[sid_source]
+        if self._rows:
+            raise SimulationError(
+                f"seed() needs a fresh kernel; this one already holds "
+                f"{len(self._rows)} DFA states"
+            )
+        # Copy: the caller's rows may view shared memory that is
+        # unmapped right after seeding.
+        contiguous = np.array(rows, dtype=np.uint64)
+        contiguous.setflags(write=False)
+        for index in range(states):
+            self._ids[contiguous[index].tobytes()] = index
+        self._rows = list(contiguous)
+        # Convert the whole silent table with C-level maps over an
+        # index list whose -1 slot is the state's miss entry — at
+        # stride >1 the table is states x C**k and a per-entry Python
+        # loop would dominate worker startup.
+        silent = np.where(np.asarray(reps) == 0, nxt, -1).tolist()
+        width = self._width
+        trans = [[sid] * (width + 1) for sid in range(states)]
+        lookup = trans + [None]
+        for sid in range(states):
+            lookup[-1] = _Miss(sid, self._walk)
+            trans[sid][:width] = map(lookup.__getitem__, silent[sid])
+        self._trans = trans
+        while states > self._next.shape[0]:
+            self._next = self._grow(self._next, -1)
+            self._reps = self._grow(self._reps, 0)
         self._next[:states] = nxt
         self._reps[:states] = reps
 
